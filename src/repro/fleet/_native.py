@@ -23,12 +23,13 @@ are identical either way, only wall-clock changes.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import os
 import shutil
 import subprocess
 import tempfile
-from typing import Optional
+from typing import Optional, Tuple
 
 _SOURCE = r"""
 #include <math.h>
@@ -280,6 +281,11 @@ void arrival_run(long long i0, long long i1,
 
 _lib = None
 _load_attempted = False
+# Why this process sweeps in Python instead: "no C compiler",
+# "compile failed (rc=N)", "load failed", or "disabled by
+# REPRO_COLUMNAR_NATIVE=0".  None while the kernel is loaded (or the
+# build was not tried yet).
+fallback_reason: Optional[str] = None
 
 
 def _compiler() -> Optional[str]:
@@ -290,40 +296,53 @@ def _compiler() -> Optional[str]:
     return None
 
 
-def _build() -> Optional[ctypes.CDLL]:
+def _build() -> Tuple[Optional[ctypes.CDLL], Optional[str]]:
+    """Compile and load the kernel: ``(handle, None)`` or ``(None, reason)``.
+
+    The build directory is removed on every path: once ``CDLL`` has
+    mapped the shared object, the file is no longer needed.
+    """
     compiler = _compiler()
     if compiler is None:
-        return None
+        return None, "no C compiler"
     workdir = tempfile.mkdtemp(prefix="repro-columnar-")
     src = os.path.join(workdir, "arrival_run.c")
     lib = os.path.join(workdir, "arrival_run.so")
-    with open(src, "w") as fh:
-        fh.write(_SOURCE)
-    cmd = [
-        compiler,
-        "-O3",
-        "-fPIC",
-        "-shared",
-        # Forbid FMA contraction: a fused multiply-add rounds once where
-        # Python rounds twice, which would break bit-exactness.
-        "-ffp-contract=off",
-        "-o",
-        lib,
-        src,
-        "-lm",
-    ]
     try:
-        proc = subprocess.run(
-            cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=120
-        )
-    except (OSError, subprocess.SubprocessError):
-        return None
-    if proc.returncode != 0:
-        return None
-    try:
-        handle = ctypes.CDLL(lib)
-    except OSError:
-        return None
+        with open(src, "w") as fh:
+            fh.write(_SOURCE)
+        cmd = [
+            compiler,
+            "-O3",
+            "-fPIC",
+            "-shared",
+            # Forbid FMA contraction: a fused multiply-add rounds once where
+            # Python rounds twice, which would break bit-exactness.
+            "-ffp-contract=off",
+            "-o",
+            lib,
+            src,
+            "-lm",
+        ]
+        try:
+            proc = subprocess.run(
+                cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=120
+            )
+        except (OSError, subprocess.SubprocessError) as exc:
+            return None, f"compile failed ({type(exc).__name__})"
+        if proc.returncode != 0:
+            return None, f"compile failed (rc={proc.returncode})"
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            return None, "load failed"
+    finally:
+        # Remove the two files the build wrote, then the empty directory.
+        for path in (src, lib):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+        with contextlib.suppress(OSError):
+            os.rmdir(workdir)
 
     import numpy.ctypeslib as npc
     import numpy as np
@@ -349,19 +368,19 @@ def _build() -> Optional[ctypes.CDLL]:
         i8, i8,                    # done_log, done_n (size-1 array)
         f8, i8, i8,                # due_dl, due_bv, due_b scratch
     ]
-    return handle
+    return handle, None
 
 
 def load() -> Optional[ctypes.CDLL]:
     """The compiled kernel, building it on first call; ``None`` if unavailable."""
-    global _lib, _load_attempted
+    global _lib, _load_attempted, fallback_reason
     if _load_attempted:
         return _lib
     _load_attempted = True
     if os.environ.get("REPRO_COLUMNAR_NATIVE", "1") == "0":
-        _lib = None
+        _lib, fallback_reason = None, "disabled by REPRO_COLUMNAR_NATIVE=0"
     else:
-        _lib = _build()
+        _lib, fallback_reason = _build()
     return _lib
 
 

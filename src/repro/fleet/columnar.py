@@ -1737,10 +1737,16 @@ def _run_windows_in_processes(engine, state, windows):
         proc = ctx.Process(target=_window_worker, args=(child, k))
         proc.start()
         child.close()
-        partial, state, obs_partial = parent.recv()
-        parent.close()
+        try:
+            partial, state, obs_partial = parent.recv()
+        except EOFError:
+            # The worker died before sending: report its exit code by name.
+            proc.join()
+            raise RuntimeError(f"shard worker {k} exited {proc.exitcode}") from None
+        finally:
+            parent.close()
+            _WORKER_CTX = None
         proc.join()
-        _WORKER_CTX = None
         if proc.exitcode != 0:
             raise RuntimeError(f"shard worker {k} exited {proc.exitcode}")
         if obs_partial is not None:

@@ -100,21 +100,21 @@ class FixedPointMultiplier:
 
         ``(acc * m + half) >> shift`` — the add-half-then-arithmetic-shift
         idiom rounds half toward +inf for both signs, exactly what the
-        hardware's requantization pipeline does.  The shift is staged so
-        intermediate products stay within int64 (acc is int32-range and m
-        is below 2^31).
+        hardware's requantization pipeline does.  The rounding is defined
+        in two stages, a shift by ``pre = max(0, shift - 31)`` and then by
+        ``post = shift - pre``, each adding half its divisor first.  One
+        shift by ``shift`` with the combined constant
+        ``half_pre + (half_post << pre)`` is bit-identical to the two,
+        because ``floor(floor(x / 2^a) / 2^b) == floor(x / 2^(a+b))`` for
+        integers.  Nothing leaves int64 while ``|acc| < 2^31``,
+        ``m < 2^31`` and ``shift <= 62``.
         """
         acc = np.asarray(accumulator, dtype=np.int64)
-        if self.shift <= 0:
-            return acc * self.multiplier * (2 ** -self.shift)
-        pre_shift = max(0, self.shift - 31)
-        post_shift = self.shift - pre_shift
-        product = acc * self.multiplier
-        if pre_shift:
-            product = (product + (1 << (pre_shift - 1))) >> pre_shift
-        if post_shift:
-            product = (product + (1 << (post_shift - 1))) >> post_shift
-        return product
+        shift = self.shift
+        if shift <= 0:
+            return acc * self.multiplier * (2 ** -shift)
+        half = (1 << (shift - 1)) + ((1 << (shift - 32)) if shift > 31 else 0)
+        return (acc * self.multiplier + half) >> shift
 
 
 @dataclass(frozen=True)
@@ -153,14 +153,14 @@ class VectorFixedPointMultiplier:
                 f"last axis ({acc.shape[-1]}) must match channels "
                 f"({self.multipliers.shape[0]})"
             )
-        # Stage the shift as in the scalar case so products stay in int64.
-        pre = np.maximum(0, self.shifts - 31)
-        post = self.shifts - pre
-        product = acc * self.multipliers
-        pre_half = np.where(pre > 0, np.int64(1) << np.maximum(pre - 1, 0), 0)
-        product = np.where(pre > 0, (product + pre_half) >> pre, product)
-        post_half = np.where(post > 0, np.int64(1) << np.maximum(post - 1, 0), 0)
-        return np.where(post > 0, (product + post_half) >> post, product)
+        # One shift per channel with the two-stage rounding's combined
+        # constant, as in FixedPointMultiplier.apply.  A non-positive shift
+        # leaves the product as it is.
+        shifts = np.maximum(self.shifts, 0)
+        one = np.int64(1)
+        half = np.where(shifts > 0, one << np.maximum(shifts - 1, 0), 0)
+        half += np.where(shifts > 31, one << np.maximum(shifts - 32, 0), 0)
+        return (acc * self.multipliers + half) >> shifts
 
 
 def integer_isqrt(values: np.ndarray) -> np.ndarray:

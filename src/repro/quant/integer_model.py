@@ -16,8 +16,9 @@ The engine is the serving hot path, so its kernels are fully batched and
 tuned without changing a single output bit:
 
 - every matmul runs through :mod:`repro.quant.intgemm`, which certifies a
-  magnitude bound and executes on the float64 BLAS path (exact on small
-  integers) instead of numpy's slow native int64 loop;
+  magnitude bound and executes on the float32 BLAS path (exact on small
+  integers: every product here stays below 2^24) instead of numpy's slow
+  native int64 loop;
 - weight operands are transposed and cast **once per model** at conversion
   (:class:`~repro.quant.intgemm.CachedMatmul`), not per forward call;
 - the softmax-exp and GELU lookup tables are built once per distinct scale

@@ -22,6 +22,13 @@ float host head runs per row.  Engine logits are therefore bit-identical
 to one-at-a-time ``model.forward`` on the same encodings — the property
 ``tests/serve/test_engine.py`` locks in.
 
+Host compute vs device timing: because of that invariance, the host
+encodes each batch at its *true* width — through the last column any of
+its rows marks valid — rather than at the bucket width.  The simulated
+device timing still models the bucket (the padded shape the accelerator
+would execute), so trimming only shrinks host compute; every timing,
+SLO and stats quantity, padding efficiency included, is unchanged.
+
 Latency-only ("analytic") mode: with ``ServingConfig(analytic=True)`` the
 engine skips the model forward entirely and prices each batch purely from
 the simulator's memoized schedule.  Every timing, SLO, and stats quantity
@@ -136,6 +143,20 @@ class TraceRequest:
     text_a: str
     text_b: Optional[str]
     arrival_ms: float
+
+
+def true_width(mask: np.ndarray) -> int:
+    """Columns a batch must be encoded at: through the last one any row marks valid.
+
+    Args:
+        mask: 0/1 attention masks of the batch's rows, ``(rows, bucket)``.
+
+    Returns:
+        One plus the index of the last column with a valid token in any
+        row; the full width when no column has one.
+    """
+    valid = np.flatnonzero(mask.any(axis=0))
+    return int(valid[-1]) + 1 if valid.size else mask.shape[1]
 
 
 class ServingEngine:
@@ -366,7 +387,9 @@ class ServingEngine:
         running the full batch, at a fraction of the compute.  Simulated
         device timing still models the full flushed batch (the padded
         shape the accelerator would execute), so dedup never changes the
-        latency accounting, only host compute.
+        latency accounting, only host compute.  The same holds for the
+        encoded width: the distinct rows run at :func:`true_width`, while
+        the router prices the bucket.
 
         In analytic mode the model forward is skipped entirely: every
         number below except the logits/prediction comes from the batch
@@ -387,9 +410,14 @@ class ServingEngine:
                     row = row_of[id(request.encoding)] = len(distinct)
                     distinct.append(request)
                 rows.append(row)
-            input_ids = np.stack([r.encoding.input_ids[:bucket] for r in distinct])
+            # Encode at the batch's true width, not the bucket's (see the
+            # module docstring): trailing columns every row masks out are
+            # padding the contract lets the host skip.
             mask = np.stack([r.encoding.attention_mask[:bucket] for r in distinct])
-            segments = np.stack([r.encoding.token_type_ids[:bucket] for r in distinct])
+            width = true_width(mask)
+            mask = mask[:, :width]
+            input_ids = np.stack([r.encoding.input_ids[:width] for r in distinct])
+            segments = np.stack([r.encoding.token_type_ids[:width] for r in distinct])
 
             # Batched integer encoder (exact arithmetic, batch-invariant) then
             # the float host head per row — see the module docstring's contract.

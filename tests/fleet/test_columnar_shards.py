@@ -150,6 +150,28 @@ class TestShardInvariance:
         )
         assert forked.to_json() == in_process.to_json()
 
+    def test_worker_dying_before_sending_is_named(self, monkeypatch):
+        """A forked worker that exits without a result raises by shard index."""
+        import multiprocessing
+        import os
+        import types
+
+        from repro.fleet import columnar
+
+        try:
+            multiprocessing.get_context("fork")
+        except ValueError:
+            pytest.skip("no fork start method on this platform")
+
+        def dying_worker(conn, window_index):
+            os._exit(3)
+
+        monkeypatch.setattr(columnar, "_window_worker", dying_worker)
+        engine = types.SimpleNamespace(obs=None)
+        with pytest.raises(RuntimeError, match=r"^shard worker 0 exited 3$"):
+            columnar._run_windows_in_processes(engine, None, [(0, 0, [])])
+        assert columnar._WORKER_CTX is None
+
 
 class TestMergeShardPartials:
     def _partial(self, done=(), fins=(), shed=(), codes=()):

@@ -1,6 +1,6 @@
 """Bit-exactness of the optimized kernels against the seed reference.
 
-The vectorization pass (float64-BLAS exact GEMM, cached weight plans,
+The vectorization pass (float32/float64-BLAS exact GEMM, cached weight plans,
 pre-widened LN parameters, shared LUTs) must be invisible in the outputs:
 every kernel is compared code-for-code against the seed implementations
 preserved in ``repro.perf.reference``, on random inputs and on adversarial
@@ -22,7 +22,14 @@ from repro.perf import (
 )
 from repro.quant.fixedpoint import FixedPointMultiplier, VectorFixedPointMultiplier
 from repro.quant.integer_model import IntegerLinear
-from repro.quant.intgemm import EXACT_F64_LIMIT, CachedMatmul, exact_matmul, max_abs
+from repro.quant import intgemm
+from repro.quant.intgemm import (
+    EXACT_F32_LIMIT,
+    EXACT_F64_LIMIT,
+    CachedMatmul,
+    exact_matmul,
+    max_abs,
+)
 
 SMALL_CONFIG = BertConfig(
     vocab_size=64,
@@ -222,10 +229,19 @@ class TestExactGemm:
         np.testing.assert_array_equal(exact_matmul(a, b), a @ b)
 
     def test_cached_matmul_matches_and_freezes_operand(self, rng):
+        """Both float plans are frozen; the float64 one is built on first need."""
         b = rng.integers(-7, 8, size=(16, 9)).astype(np.int64)
         plan = CachedMatmul(b)
         a = rng.integers(-128, 128, size=(4, 16)).astype(np.int64)
         np.testing.assert_array_equal(plan(a), a @ b)
+        assert plan._b_f64 is None  # the float32 tier never builds it
+        with pytest.raises(ValueError):
+            plan.b_f32[0, 0] = 1.0
+        # Past the float32 limit the float64 plan is built, then reused.
+        wide = np.full((4, 16), 2 ** 20, dtype=np.int64)
+        np.testing.assert_array_equal(plan(wide), wide @ b)
+        built = plan._b_f64
+        assert built is not None and plan.b_f64 is built
         with pytest.raises(ValueError):
             plan.b_f64[0, 0] = 1.0
 
@@ -248,6 +264,76 @@ class TestExactGemm:
         b = np.array([[1], [1]], dtype=np.int64)
         assert max_abs(a) == 2 ** 63
         np.testing.assert_array_equal(exact_matmul(a, b), a @ b)
+
+    class _TierProbe(np.ndarray):
+        """Records the dtype each ``@`` it takes part in runs in."""
+
+        tiers = []
+
+        def __matmul__(self, other):
+            type(self).tiers.append(np.result_type(self, other))
+            return np.matmul(np.asarray(self), np.asarray(other))
+
+    @pytest.mark.parametrize(
+        "a_value, b_value, tier",
+        [
+            (4095, 4097, np.float32),  # bound 2**24 - 1
+            (4096, 4096, np.float64),  # bound 2**24
+            (6361 * 69431, 20394401, np.float64),  # bound 2**53 - 1
+            (2 ** 26, 2 ** 27, np.int64),  # bound 2**53
+        ],
+    )
+    def test_tier_boundaries(self, a_value, b_value, tier):
+        """Each limit is exclusive: a bound equal to it takes the next tier."""
+        a = np.array([[a_value]], dtype=np.int64)
+        b = np.array([[b_value]], dtype=np.int64)
+        bound = intgemm.product_bound(a_value, b_value, 1)
+        assert bound in (EXACT_F32_LIMIT - 1, EXACT_F32_LIMIT, EXACT_F64_LIMIT - 1, EXACT_F64_LIMIT)
+        probe = a.view(self._TierProbe)
+        for product in (lambda: exact_matmul(probe, b), lambda: CachedMatmul(b)(probe)):
+            self._TierProbe.tiers.clear()
+            out = product()
+            assert out.dtype == np.int64
+            assert int(out[0, 0]) == bound
+            assert self._TierProbe.tiers == [np.dtype(tier)]
+
+    def test_float32_tier_adversarial_rails(self):
+        """All-±127 x ±7 operands at the largest K the float32 guard admits."""
+        k = (EXACT_F32_LIMIT - 1) // (127 * 7)
+        assert intgemm.product_bound(127, 7, k) < EXACT_F32_LIMIT
+        assert intgemm.product_bound(127, 7, k + 1) >= EXACT_F32_LIMIT
+        flat = np.arange(3 * k)
+        a = np.where(flat % 3 == 0, -127, 127).reshape(3, k).astype(np.int64)
+        a[0] = 127  # one row of pure +rails: the accumulator hits the bound
+        b = np.where(np.arange(k * 4) % 5 == 0, -7, 7).reshape(k, 4).astype(np.int64)
+        b[:, 0] = 7
+        expected = a @ b
+        assert expected[0, 0] == 127 * 7 * k
+        np.testing.assert_array_equal(exact_matmul(a, b), expected)
+        np.testing.assert_array_equal(CachedMatmul(b)(a), expected)
+        # One more term crosses the float32 limit, and the float64 tier
+        # still returns the exact product.
+        a1 = np.full((1, k + 1), 127, dtype=np.int64)
+        b1 = np.full((k + 1, 1), 7, dtype=np.int64)
+        np.testing.assert_array_equal(exact_matmul(a1, b1), a1 @ b1)
+
+    def test_float32_tier_batched_operands(self, rng):
+        """4-D attention-shaped products (scores and context) on the float32 tier."""
+        q = rng.integers(-128, 128, size=(3, 12, 64, 16)).astype(np.int64)
+        k = rng.integers(-128, 128, size=(3, 12, 16, 64)).astype(np.int64)
+        assert intgemm.product_bound(128, 128, 16) < EXACT_F32_LIMIT
+        np.testing.assert_array_equal(exact_matmul(q, k), q @ k)
+        probs = rng.integers(0, 256, size=(3, 12, 64, 64)).astype(np.int64)
+        v = np.full((3, 12, 64, 16), -128, dtype=np.int64)
+        assert intgemm.product_bound(255, 128, 64) < EXACT_F32_LIMIT
+        np.testing.assert_array_equal(exact_matmul(probs, v), probs @ v)
+
+    def test_int64_min_forces_int64_in_cached_plan(self):
+        int64_min = np.iinfo(np.int64).min
+        plan = CachedMatmul(np.array([[1], [1]], dtype=np.int64))
+        a = np.array([[int64_min, 1]], dtype=np.int64)
+        np.testing.assert_array_equal(plan(a), a @ plan.b_i64)
+        assert plan._b_f64 is None  # int64 fallback never builds the f64 plan
 
     def test_empty_operands(self):
         a = np.zeros((0, 4), dtype=np.int64)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.quant import FixedPointMultiplier, LN_PARAM_FORMAT, QFormat, integer_isqrt, saturate
-from repro.quant.fixedpoint import bit_width_of
+from repro.quant.fixedpoint import VectorFixedPointMultiplier, bit_width_of
 
 
 class TestQFormat:
@@ -76,6 +76,87 @@ def test_multiplier_relative_error_property(factor, acc):
     applied = int(fpm.apply(np.array([acc]))[0])
     exact = acc * factor
     assert abs(applied - exact) <= 1.0 + abs(exact) * 2 ** -30
+
+
+def _staged_requant(acc, multiplier, shift):
+    """The two-stage rounding ``apply`` is defined by, one Python int at a time.
+
+    Shift by ``pre = max(0, shift - 31)`` and then by ``shift - pre``,
+    each adding half its divisor first; a non-positive shift is skipped.
+    Python ints never overflow, so this is the exact definition.
+    """
+    product = acc * multiplier
+    pre = max(0, shift - 31)
+    post = shift - pre
+    if pre > 0:
+        product = (product + (1 << (pre - 1))) >> pre
+    if post > 0:
+        product = (product + (1 << (post - 1))) >> post
+    return product
+
+
+INT32_EXTREMES = [-(2 ** 31), -(2 ** 31) + 1, -(2 ** 30), -1, 0, 1, 2 ** 30, 2 ** 31 - 1]
+accumulators = st.lists(
+    st.one_of(
+        st.integers(min_value=-(2 ** 31), max_value=2 ** 31 - 1),
+        st.sampled_from(INT32_EXTREMES),
+    ),
+    min_size=1,
+    max_size=16,
+)
+mantissas = st.one_of(
+    st.integers(min_value=2 ** 30, max_value=2 ** 31 - 1),
+    st.sampled_from([1, 2 ** 30, 2 ** 31 - 1]),
+)
+shifts = st.one_of(st.integers(min_value=1, max_value=62), st.integers(min_value=28, max_value=35))
+
+
+@settings(max_examples=400, deadline=None)
+@given(accumulators, mantissas, shifts)
+def test_single_shift_requant_equals_staged(accs, multiplier, shift):
+    fpm = FixedPointMultiplier(multiplier=multiplier, shift=shift)
+    applied = fpm.apply(np.array(accs, dtype=np.int64))
+    assert applied.tolist() == [_staged_requant(a, multiplier, shift) for a in accs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_single_shift_vector_requant_equals_staged(data):
+    channels = data.draw(st.integers(min_value=1, max_value=8))
+    multipliers = data.draw(st.lists(mantissas, min_size=channels, max_size=channels))
+    channel_shifts = data.draw(
+        st.lists(
+            st.one_of(shifts, st.integers(min_value=-3, max_value=0)),
+            min_size=channels,
+            max_size=channels,
+        )
+    )
+    channel_row = accumulators.map(lambda values: (values * channels)[:channels])
+    rows = data.draw(st.lists(channel_row, min_size=1, max_size=4))
+    vfpm = VectorFixedPointMultiplier(
+        multipliers=np.array(multipliers, dtype=np.int64),
+        shifts=np.array(channel_shifts, dtype=np.int64),
+    )
+    applied = vfpm.apply(np.array(rows, dtype=np.int64))
+    expected = [
+        [_staged_requant(a, m, s) for a, m, s in zip(row, multipliers, channel_shifts)]
+        for row in rows
+    ]
+    assert applied.tolist() == expected
+
+
+def test_single_shift_requant_on_rounding_ties():
+    """Products exactly on (and one step off) a half, for every shift."""
+    for shift in range(1, 63):
+        multiplier = 1 << min(30, shift - 1)
+        tie = (1 << (shift - 1)) // multiplier  # tie * multiplier == 2^(shift-1)
+        accs = [
+            a for a in (tie, -tie, tie - 1, -tie + 1, tie + 1, -tie - 1)
+            if -(2 ** 31) <= a < 2 ** 31
+        ]
+        fpm = FixedPointMultiplier(multiplier=multiplier, shift=shift)
+        applied = fpm.apply(np.array(accs, dtype=np.int64))
+        assert applied.tolist() == [_staged_requant(a, multiplier, shift) for a in accs]
 
 
 class TestIntegerIsqrt:

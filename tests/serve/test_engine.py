@@ -1,5 +1,8 @@
 """End-to-end serving engine: bit-exactness, bucketing, caching, timing."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,8 @@ from repro.serve import (
     TraceRequest,
     generate_trace,
 )
+from repro.serve import engine as engine_module
+from repro.serve.engine import Encoding, true_width
 
 BUCKETS = (8, 12, 16)
 
@@ -95,6 +100,122 @@ class TestBitExactness:
                 b.device_id,
                 b.batch_id,
             )
+
+
+def _record_widths(monkeypatch, model):
+    """Record the width of every batch the engine encodes."""
+    widths = []
+    encode = model.encode
+
+    def recording(input_ids, attention_mask=None, token_type_ids=None):
+        widths.append(input_ids.shape[1])
+        return encode(input_ids, attention_mask, token_type_ids)
+
+    monkeypatch.setattr(model, "encode", recording)
+    return widths
+
+
+def _bucket_width_logits(model, tokenizer, result, text_a, text_b):
+    ids, mask, segments = tokenizer.encode(text_a, text_b, max_length=max(BUCKETS))
+    b = result.bucket
+    return model.forward(ids[None, :b], mask[None, :b], segments[None, :b])[0]
+
+
+class TestTrueWidth:
+    """Host compute runs at the batch's true width; timing models the bucket."""
+
+    def test_true_width(self):
+        mask = np.array([[1, 1, 0, 0, 0], [1, 1, 1, 0, 0]])
+        assert true_width(mask) == 3
+        assert true_width(np.array([[1, 0, 1, 0]])) == 3  # a hole is not the end
+        assert true_width(np.ones((2, 4), dtype=np.int64)) == 4
+        assert true_width(np.zeros((2, 4), dtype=np.int64)) == 4
+
+    def test_pair_inputs_match_bucket_width_forward(
+        self, integer_model, serve_tokenizer, serve_pool, monkeypatch
+    ):
+        widths = _record_widths(monkeypatch, integer_model)
+        texts = [text_a for text_a, _ in serve_pool]
+        pairs = [(" ".join(texts[i].split()[:3]), texts[i + 1]) for i in range(0, 24, 2)]
+        trace = [
+            TraceRequest(text_a=a, text_b=b, arrival_ms=0.5 * i)
+            for i, (a, b) in enumerate(pairs)
+        ]
+        engine = make_engine(integer_model, serve_tokenizer)
+        results = engine.run_trace(trace)
+        assert all(
+            serve_tokenizer.encode(a, b, max_length=max(BUCKETS))[2].any() for a, b in pairs
+        )
+        for result, item in zip(results, trace):
+            expected = _bucket_width_logits(
+                integer_model, serve_tokenizer, result, item.text_a, item.text_b
+            )
+            np.testing.assert_array_equal(result.logits, expected)
+        assert max(r.batch_size for r in results) > 1
+        assert any(w not in BUCKETS for w in widths)  # some batch was trimmed
+
+    def test_batch_whose_longest_row_fills_the_bucket(
+        self, integer_model, serve_tokenizer, serve_pool, monkeypatch
+    ):
+        widths = _record_widths(monkeypatch, integer_model)
+        words = " ".join(text_a for text_a, _ in serve_pool).split()
+        long_text = " ".join(words[:40])  # truncated to the largest bucket
+        trace = [TraceRequest(text_a=long_text, text_b=None, arrival_ms=0.0)] + [
+            TraceRequest(text_a=" ".join(words[i : i + 11]), text_b=None, arrival_ms=0.0)
+            for i in range(3)
+        ]
+        engine = make_engine(integer_model, serve_tokenizer)
+        results = engine.run_trace(trace)
+        assert {r.bucket for r in results} == {max(BUCKETS)}
+        assert results[0].length == max(BUCKETS)
+        assert widths == [max(BUCKETS)]
+        for result, item in zip(results, trace):
+            expected = _bucket_width_logits(
+                integer_model, serve_tokenizer, result, item.text_a, item.text_b
+            )
+            np.testing.assert_array_equal(result.logits, expected)
+
+    def test_single_token_row(self, integer_model, serve_tokenizer, monkeypatch):
+        """A row whose only valid token is [CLS] encodes at width 1."""
+        widths = _record_widths(monkeypatch, integer_model)
+        ids, mask, segments = serve_tokenizer.encode("", None, max_length=max(BUCKETS))
+        mask = np.zeros_like(mask)
+        mask[0] = 1
+        engine = make_engine(integer_model, serve_tokenizer)
+        engine.cache.put(("lone", None), Encoding(ids, mask, segments, length=1))
+        engine.submit("lone", arrival_ms=0.0)
+        (result,) = engine.drain()
+        assert result.cache_hit and result.bucket == BUCKETS[0]
+        assert widths == [1]
+        b = result.bucket
+        expected = integer_model.forward(ids[None, :b], mask[None, :b], segments[None, :b])[0]
+        np.testing.assert_array_equal(result.logits, expected)
+
+    def test_timing_and_stats_match_untrimmed_run(
+        self, integer_model, serve_tokenizer, serve_pool, monkeypatch
+    ):
+        """Trimming moves no timing field, no stats byte and no logit bit."""
+        trace = generate_trace(serve_pool, num_requests=40, seed=21)
+        trimmed = make_engine(integer_model, serve_tokenizer)
+        trimmed_results = trimmed.run_trace(trace)
+        with monkeypatch.context() as patch:
+            patch.setattr(engine_module, "true_width", lambda mask: mask.shape[1])
+            widths = _record_widths(patch, integer_model)
+            untrimmed = make_engine(integer_model, serve_tokenizer)
+            untrimmed_results = untrimmed.run_trace(trace)
+        assert set(widths) <= set(BUCKETS)  # the untrimmed run saw only buckets
+
+        def stats_bytes(engine):
+            return json.dumps(dataclasses.asdict(engine.stats()), sort_keys=True)
+
+        assert stats_bytes(trimmed) == stats_bytes(untrimmed)
+        assert len(trimmed_results) == len(untrimmed_results) == 40
+        for a, b in zip(trimmed_results, untrimmed_results):
+            fields_a, fields_b = dataclasses.asdict(a), dataclasses.asdict(b)
+            logits_a, logits_b = fields_a.pop("logits"), fields_b.pop("logits")
+            assert repr(fields_a) == repr(fields_b)
+            assert logits_a.tobytes() == logits_b.tobytes()
+        assert any(r.length < r.bucket for r in trimmed_results)
 
 
 class TestBucketing:
