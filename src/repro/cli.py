@@ -163,6 +163,17 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be >= 1 (argparse names the flag)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _parse_buckets(spec: Optional[str]):
     """Parse a ``--buckets`` flag ("16,32,64") into a sorted int tuple."""
     if spec is None:
@@ -851,7 +862,7 @@ def _add_serving_flags(parser, max_wait_ms: float = 10.0, cache_size: int = 256)
     serving engine appears — per-node (``serve``) or per-replica
     (``loadtest``).
     """
-    parser.add_argument("--batch-size", type=int, default=8)
+    parser.add_argument("--batch-size", type=_positive_int, default=8)
     parser.add_argument(
         "--max-wait-ms", type=float, default=max_wait_ms,
         help="batching deadline: max queueing before a partial flush",
@@ -921,9 +932,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--task", default="sst2")
     serve.add_argument("--checkpoint", help="quantized checkpoint (else quick PTQ)")
-    serve.add_argument("--requests", type=int, default=64)
+    serve.add_argument("--requests", type=_positive_int, default=64)
     _add_serving_flags(serve)
-    serve.add_argument("--num-devices", type=int, default=1)
+    serve.add_argument("--num-devices", type=_positive_int, default=1)
     serve.add_argument("--mean-gap-ms", type=float, default=2.0)
     serve.add_argument("--slo-ms", type=float, default=None)
     serve.add_argument("--device", default="ZCU102")

@@ -119,6 +119,9 @@ class _Rep:
 
     rid: int
     spec: ReplicaSpec
+    # the spec's price tables, bound once at add time (specs never change);
+    # replicas sharing a design point share one object
+    tables: _DesignTables
     added_ms: float
     busy_until: float = 0.0
     busy_ms: float = 0.0
@@ -574,6 +577,7 @@ class ColumnarFleetEngine:
         rep = _Rep(
             rid=state.next_id,
             spec=spec,
+            tables=tables,
             added_ms=now,
             # engine starts idle; a cold start blocks the device until
             # now + cold_ms (router.block_until's max against zero).
@@ -620,7 +624,7 @@ class ColumnarFleetEngine:
         if rep is None or rep.live or not rep.failed:
             return
         rep.failed = False
-        cold = self.tables_for(rep.spec).cold_ms
+        cold = rep.tables.cold_ms
         rep.busy_until = max(rep.busy_until, now + cold)
         if self.obs is not None:
             self.obs.on_recovery(rep.rid, now, cold)
@@ -645,7 +649,7 @@ class ColumnarFleetEngine:
             backlog = 0.0
         queued = 0.0
         M = self.M
-        tables = self.tables_for(rep.spec)
+        tables = rep.tables
         price = tables.price_full
         for b in rep.order:
             depth = len(rep.queues[b])
@@ -661,7 +665,7 @@ class ColumnarFleetEngine:
         # `nominal` is the memoized simulator price (the router estimate);
         # a gray window stretches the *realized* service exactly like
         # DeviceRouter.dispatch — same multiply, same operands.
-        nominal = self.tables_for(rep.spec).svc[b][take]
+        nominal = rep.tables.svc[b][take]
         service = nominal if rep.slowdown == 1.0 else nominal * rep.slowdown
         start = flush_ms if flush_ms > rep.busy_until else rep.busy_until
         fin = start + service
@@ -1062,7 +1066,7 @@ class ColumnarFleetEngine:
         order = [r.order for r in lreps]            # shared mutable lists
         seen = [r.seen for r in lreps]
         next_dl = [inf if r.next_dl is None else r.next_dl for r in lreps]
-        tabs = [self.tables_for(r.spec) for r in lreps]
+        tabs = [r.tables for r in lreps]
         price = [t.price_full for t in tabs]
         ref = [t.ref_price for t in tabs]
         svc = [t.svc for t in tabs]
@@ -1238,7 +1242,7 @@ class ColumnarFleetEngine:
         busy_ms = np.array([r.busy_ms for r in lreps], dtype=np.float64)
         batches = np.array([r.batches for r in lreps], dtype=np.int64)
         served = np.array([r.requests for r in lreps], dtype=np.int64)
-        tabs = [self.tables_for(r.spec) for r in lreps]
+        tabs = [r.tables for r in lreps]
         price_full = np.array([t.price_full for t in tabs], dtype=np.float64)
         ref_price = np.array([t.ref_price for t in tabs], dtype=np.float64)
         svc = np.array([t.svc for t in tabs], dtype=np.float64)

@@ -15,6 +15,7 @@ replica sweep) still render the same bytes.
 from __future__ import annotations
 
 import json
+from itertools import groupby
 from typing import Dict, List, Optional
 
 __all__ = ["Tracer"]
@@ -22,15 +23,22 @@ __all__ = ["Tracer"]
 _PID = 0  # single simulated process; replicas map to threads
 
 
-def _event_sort_key(event: Dict) -> tuple:
+def _event_head(event: Dict) -> tuple:
     # Metadata first (ts -1), then by timestamp / thread / phase / name /
-    # duration / canonical args — a total order over everything we emit.
+    # duration.
     return (
         event.get("ts", -1.0),
         event.get("tid", 0),
         event.get("ph", ""),
         event.get("name", ""),
         event.get("dur", 0.0),
+    )
+
+
+def _event_sort_key(event: Dict) -> tuple:
+    # The head, then the canonical args — a total order over everything
+    # we emit.
+    return _event_head(event) + (
         json.dumps(event.get("args", {}), sort_keys=True),
     )
 
@@ -122,10 +130,16 @@ class Tracer:
     # export
     # ------------------------------------------------------------------
     def to_chrome(self) -> Dict:
-        return {
-            "displayTimeUnit": "ms",
-            "traceEvents": sorted(self.events, key=_event_sort_key),
-        }
+        # Equal to sorted(events, key=_event_sort_key): sort on the head,
+        # then re-sort only runs of equal heads by the full key.  Both sorts
+        # are stable, so the args are serialised only for tied events.
+        ordered: List[Dict] = []
+        for _, group in groupby(sorted(self.events, key=_event_head), key=_event_head):
+            run = list(group)
+            if len(run) > 1:
+                run.sort(key=_event_sort_key)
+            ordered.extend(run)
+        return {"displayTimeUnit": "ms", "traceEvents": ordered}
 
     def to_json(self) -> str:
         return json.dumps(self.to_chrome(), sort_keys=True) + "\n"

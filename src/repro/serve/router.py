@@ -94,7 +94,13 @@ class DeviceRouter:
             )
             for i, (cfg, dev) in enumerate(specs)
         ]
-        self._latency_cache: Dict[Tuple[DeviceSpec, int, int], float] = {}
+        # Equal specs share one design index, so the memo key hashes an
+        # int instead of the frozen config tuple.
+        designs: Dict[DeviceSpec, int] = {}
+        self._design_of: List[int] = [
+            designs.setdefault(state.spec, len(designs)) for state in self.devices
+        ]
+        self._latency_cache: Dict[Tuple[int, int, int], float] = {}
         # Gray-failure seam: a straggling node serves every batch this
         # many times slower than the nominal schedule.  1.0 (the default)
         # takes no extra float op, so healthy runs keep their exact bytes;
@@ -118,10 +124,10 @@ class DeviceRouter:
             even on a miss, because the workload derivation and the
             scheduler's own results are memoized underneath.
         """
-        state = self.devices[device_id]
-        key = (state.spec, seq_len, batch_size)
+        key = (self._design_of[device_id], seq_len, batch_size)
         cached = self._latency_cache.get(key)
         if cached is None:
+            state = self.devices[device_id]
             report = state.simulator.simulate(
                 self.model_config, seq_len=seq_len, batch_size=batch_size
             )

@@ -14,14 +14,22 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.accel import AcceleratorConfig
 from repro.fleet import (
+    AutoscalePolicy,
+    ChaosPlan,
     FailureEvent,
     FleetRequest,
+    GrayWindow,
+    ReplicaSpec,
+    ResiliencePolicy,
     ShardPartial,
+    ZoneOutage,
     merge_shard_partials,
     run_scenario_columnar,
 )
 from repro.fleet.columnar import shard_windows, _prepare
+from repro.obs import FleetObserver
 
 SHARD_COUNTS = (1, 2, 5, 7)
 
@@ -171,6 +179,82 @@ class TestShardInvariance:
         with pytest.raises(RuntimeError, match=r"^shard worker 0 exited 3$"):
             columnar._run_windows_in_processes(engine, None, [(0, 0, [])])
         assert columnar._WORKER_CTX is None
+
+
+# An autoscaled chaos drill: a zone outage and a fail-stop that both
+# recover, a gray window, resilience on, and scale-ups of a design point
+# the initial fleet does not use.
+_DRILL_PLAN = ChaosPlan(
+    name="tables-drill",
+    zones=(("east", (0,)),),
+    grays=(GrayWindow(replica_id=1, start_ms=40.0, end_ms=250.0, slowdown=4.0),),
+    outages=(ZoneOutage(zone="east", at_ms=80.0, recover_ms=200.0),),
+    failures=(FailureEvent(replica_id=1, fail_ms=400.0, recover_ms=450.0),),
+)
+_DRILL_POLICY = ResiliencePolicy(
+    max_retries=2, backoff_base_ms=3.0, retry_budget_ratio=1.0,
+    retry_budget_burst=20.0, timeout_ms=400.0, breaker=True,
+    breaker_straggle_factor=2.0, breaker_window=6, breaker_min_samples=3,
+    breaker_open_ms=30.0,
+)
+
+
+def _run_drill(model, tokenizer, weak_spec, fleet_config, **kw):
+    scale_spec = ReplicaSpec(
+        accel_config=AcceleratorConfig(num_pus=4, num_pes=2, num_multipliers=8),
+        name="strong",
+    )
+    obs = FleetObserver()
+    report = run_scenario_columnar(
+        "multi-tenant", model, tokenizer, [weak_spec] * 2, fleet_config,
+        autoscale=AutoscalePolicy(
+            min_replicas=1, max_replicas=5, interval_ms=100.0, cooldown_ticks=1
+        ),
+        scale_spec=scale_spec, chaos=_DRILL_PLAN, resilience=_DRILL_POLICY,
+        seed=7, rate_scale=4.0, duration_scale=0.5, shards=3, obs=obs, **kw,
+    )
+    return report.to_json(), obs.render_prometheus(), obs.trace_json()
+
+
+class TestReplicaTables:
+    def test_every_replica_holds_the_memoised_tables(
+        self, monkeypatch, cluster_model, hash_tokenizer, weak_spec, fleet_config
+    ):
+        """Initial, scaled-up and recovered replicas all price from the
+        engine's one memoised table object per design point."""
+        from repro.fleet import columnar
+
+        finals = []
+        finalize = columnar.ColumnarFleetEngine.finalize
+
+        def spy(engine, state, partials):
+            finals.append((engine, state))
+            return finalize(engine, state, partials)
+
+        monkeypatch.setattr(columnar.ColumnarFleetEngine, "finalize", spy)
+        _run_drill(cluster_model, hash_tokenizer, weak_spec, fleet_config)
+        ((engine, state),) = finals
+        reps = state.replicas
+        assert len(reps) > 2, "the autoscaler added no replica"
+        assert any(r.failures and not r.failed for r in reps), "none recovered"
+        for rep in reps:
+            assert rep.tables is engine.tables_for(rep.spec)
+        designs = {(r.spec.accel_config, r.spec.device) for r in reps}
+        assert len(designs) == 2
+        assert len({id(r.tables) for r in reps}) == len(designs)
+
+    def test_forked_shards_match_in_process(
+        self, cluster_model, hash_tokenizer, weak_spec, fleet_config
+    ):
+        """Replicas cross the fork with their tables; the bytes agree."""
+        in_process = _run_drill(
+            cluster_model, hash_tokenizer, weak_spec, fleet_config
+        )
+        forked = _run_drill(
+            cluster_model, hash_tokenizer, weak_spec, fleet_config,
+            shard_processes=True,
+        )
+        assert forked == in_process
 
 
 class TestMergeShardPartials:

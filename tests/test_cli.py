@@ -129,6 +129,27 @@ class TestServe:
             main(["serve", "--requests", "4", "--buckets", "a,b"])
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["serve", "--num-devices", "0"], "--num-devices"),
+        (["serve", "--requests", "0"], "--requests"),
+        (["serve", "--requests", "-3"], "--requests"),
+        (["serve", "--batch-size", "0"], "--batch-size"),
+        (["serve", "--num-devices", "two"], "--num-devices"),
+        (["loadtest", "--batch-size", "0"], "--batch-size"),
+        (["search", "--batch-size", "0"], "--batch-size"),
+    ],
+)
+def test_non_positive_counts_are_usage_errors(argv, flag, capsys):
+    """A zero, negative or non-integer count exits 2 naming the flag,
+    before any model is built."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
 LOADTEST_FAST = [
     "loadtest", "--replicas", "1", "--rate-scale", "0.25", "--seed", "11",
 ]
