@@ -196,8 +196,12 @@ void arrival_run(long long i0, long long i1,
     double g = global_next(L, next_dl);
     /* With a uniform per-request SLO the shed threshold is one constant
      * (the same product admit_factor * slo[i] the per-arrival check
-     * computes); <= 0 disables the shed-skip fast path. */
-    double uthresh = uniform_slo > 0.0 ? admit_factor * uniform_slo : -1.0;
+     * would compute), and slo is not read at all: callers may pass it
+     * as a single element.  uthresh <= 0 disables the shed-skip fast
+     * path. */
+    int uniform = uniform_slo > 0.0;
+    double thresh = admit_factor * uniform_slo;
+    double uthresh = uniform ? thresh : -1.0;
     for (long long i = i0; i < i1; ++i) {
         double t = arrival[i];
         if (t >= g) {
@@ -217,7 +221,7 @@ void arrival_run(long long i0, long long i1,
         double bestp = best_projection(t, L, B, M, wait_ms, busy_until,
                                        price_full, ref_price, depth,
                                        order, order_n, &best);
-        if (bestp > admit_factor * slo[i]) {
+        if (bestp > (uniform ? thresh : admit_factor * slo[i])) {
             shed[i] = 1;
             if (uthresh > 0.0 && i + 1 < i1) {
                 /* Shed-skip: replica state is frozen while requests shed,

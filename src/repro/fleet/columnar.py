@@ -239,9 +239,9 @@ def merge_shard_partials(
         finish[part.done_idx] = part.done_fin
         shed[part.shed_idx] = part.shed_code
     # Overlap detection by counting: scattering `total` indices into a
-    # clean mask marks `total` cells iff no index repeats — one O(n) sum
-    # instead of a gather per partial, and it works on prefixes too.
-    if int(claimed.sum()) != total:
+    # clean mask marks `total` cells iff no index repeats — one O(n)
+    # count instead of a gather per partial, and it works on prefixes too.
+    if int(np.count_nonzero(claimed)) != total:
         raise ValueError("shard partials overlap — a request was double-counted")
     return finish, shed
 
@@ -267,8 +267,8 @@ class _Prepared:
     seed: int
     duration_ms: float
     tenant_names: List[str]
-    tenant_idx: np.ndarray         # int64  [n]
-    slo: np.ndarray                # float64 [n]
+    tenant_idx: np.ndarray         # int64  [n] (zero-stride: one tenant)
+    slo: np.ndarray                # float64 [n] (zero-stride: one tenant)
     uniform_slo: float             # the single SLO value, 0.0 when mixed
     arrival: np.ndarray            # float64 [n]
     bucket_idx: np.ndarray         # int32  [n]
@@ -346,8 +346,10 @@ def _prepare(
             [t.slo_ms for t in cols.tenants], dtype=np.float64
         )
         if len(cols.tenants) == 1:
-            # One tenant: the gather below would broadcast one value.
-            slo = np.full(cols.num_requests, tenant_slos[0], dtype=np.float64)
+            # One tenant: every row has its SLO, so a zero-stride view
+            # stands in for the constant column (the C kernel reads
+            # uniform_slo instead).
+            slo = np.broadcast_to(tenant_slos[0], (cols.num_requests,))
         else:
             slo = tenant_slos[tenant_idx]
         # Bucketing is a pure function of the text, and every text comes
@@ -463,24 +465,34 @@ class _Accum:
         self.shed_parts: List[Tuple[np.ndarray, np.ndarray]] = []
 
     def to_partial(self) -> ShardPartial:
-        done_idx = [np.asarray(self.done_idx_py, dtype=np.int64)]
-        done_fin = [np.asarray(self.done_fin_py, dtype=np.float64)]
-        for idx, fin in self.done_parts:
-            done_idx.append(idx)
-            done_fin.append(fin)
-        shed_idx = [np.asarray(self.shed_idx_py, dtype=np.int64)]
-        shed_code = [np.asarray(self.shed_code_py, dtype=np.uint8)]
-        for idx, code in self.shed_parts:
-            shed_idx.append(idx)
-            shed_code.append(code.astype(np.uint8))
-        return ShardPartial(
-            done_idx=np.concatenate(done_idx) if len(done_idx) > 1 else done_idx[0],
-            done_fin=np.concatenate(done_fin) if len(done_fin) > 1 else done_fin[0],
-            shed_idx=np.concatenate(shed_idx) if len(shed_idx) > 1 else shed_idx[0],
-            shed_code=(
-                np.concatenate(shed_code) if len(shed_code) > 1 else shed_code[0]
-            ),
+        done_idx, done_fin = self._columns(
+            self.done_idx_py, self.done_fin_py, self.done_parts, np.float64
         )
+        shed_idx, shed_code = self._columns(
+            self.shed_idx_py, self.shed_code_py, self.shed_parts, np.uint8
+        )
+        return ShardPartial(
+            done_idx=done_idx, done_fin=done_fin,
+            shed_idx=shed_idx, shed_code=shed_code,
+        )
+
+    @staticmethod
+    def _columns(idx_py, val_py, parts, val_dtype):
+        """One (index, value) column pair from list rows and array parts.
+
+        A lone part is handed through as is; only several pieces are
+        concatenated.  Every array part is already int64/``val_dtype``.
+        """
+        if idx_py or not parts:
+            rows = (
+                np.asarray(idx_py, dtype=np.int64),
+                np.asarray(val_py, dtype=val_dtype),
+            )
+            parts = [rows] + parts
+        if len(parts) == 1:
+            return parts[0]
+        idx, val = zip(*parts)
+        return np.concatenate(idx), np.concatenate(val)
 
 
 class ColumnarFleetEngine:
@@ -527,7 +539,6 @@ class ColumnarFleetEngine:
         # Global scratch for the native kernel (allocated lazily).
         self._finish_scratch: Optional[np.ndarray] = None
         self._shed_scratch: Optional[np.ndarray] = None
-        self._arr32: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # pricing
@@ -1235,8 +1246,6 @@ class ColumnarFleetEngine:
         if self._finish_scratch is None:
             self._finish_scratch = np.zeros(n, dtype=np.float64)
             self._shed_scratch = np.zeros(n, dtype=np.uint8)
-        if self._arr32 is None:
-            self._arr32 = self.prep.bucket_idx  # already int32
 
         busy_until = np.array([r.busy_until for r in lreps], dtype=np.float64)
         busy_ms = np.array([r.busy_ms for r in lreps], dtype=np.float64)
@@ -1275,9 +1284,16 @@ class ColumnarFleetEngine:
         due_bv = np.empty(B, dtype=np.int64)
         due_b = np.empty(B, dtype=np.int64)
 
+        slo = self.prep.slo
+        if self.prep.uniform_slo > 0.0:
+            # The kernel then compares against admit_factor * uniform_slo
+            # and never reads slo[i], so a zero-stride column crosses as
+            # its one element.
+            slo = slo[:1]
+
         lib.arrival_run(
             lo, hi,
-            self.prep.arrival, self.prep.bucket_idx, self.prep.slo,
+            self.prep.arrival, self.prep.bucket_idx, slo,
             L, B, M,
             self.wait, self.factor, self.prep.uniform_slo,
             busy_until, busy_ms, batches, served,
@@ -1292,13 +1308,18 @@ class ColumnarFleetEngine:
 
         count = int(done_n[0])
         done = done_log[:count].copy()
+        # The log is sized for every row of the window; free it before
+        # the unpack below allocates, so the two never coexist.
+        del done_log
         acc.done_parts.append((done, self._finish_scratch[done]))
         window = self._shed_scratch[lo:hi]
-        nz = np.flatnonzero(window)
-        if nz.shape[0]:
-            acc.shed_parts.append(
-                ((nz + lo).astype(np.int64), window[nz].copy())
-            )
+        shed = np.flatnonzero(window)
+        if shed.shape[0]:
+            # Fancy indexing already copies the codes; the row numbers are
+            # shifted to global indices in place.
+            codes = window[shed]
+            shed += lo
+            acc.shed_parts.append((shed.astype(np.int64, copy=False), codes))
         for k, rep in enumerate(lreps):
             rep.busy_until = float(busy_until[k])
             rep.busy_ms = float(busy_ms[k])
@@ -1588,8 +1609,16 @@ class ColumnarFleetEngine:
         return acc.to_partial()
 
     def finalize(
-        self, state: ColumnarFleetState, partials: Sequence[ShardPartial]
+        self, state: ColumnarFleetState, partials: List[ShardPartial]
     ) -> FleetReport:
+        """Merge the shard partials and build the report.
+
+        Consumes ``partials``: the list is emptied once merged, so the
+        shard columns are freed before the stats pass.  The native
+        sweep's scratch columns are released first, since the merge
+        rebuilds the same columns from the partials.
+        """
+        self._finish_scratch = self._shed_scratch = None
         prep = self.prep
         n = prep.num_requests
         finish, shed = merge_shard_partials(partials, n)
@@ -1605,6 +1634,7 @@ class ColumnarFleetEngine:
         for part in partials:
             if part.num_done:
                 last_finish = max(last_finish, float(part.done_fin.max()))
+        partials.clear()
         duration = max(prep.duration_ms, last_finish)
         replica_rows = [
             build_replica_stats(

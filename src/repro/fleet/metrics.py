@@ -372,13 +372,12 @@ def _latency_block_columns(latencies: np.ndarray) -> Dict[str, float]:
         # identical arithmetic to percentile_sorted on the same scalars
         return float(part[lower] * (1.0 - frac) + part[upper] * frac)
 
-    return {
-        "p50": interp(50),
-        "p95": interp(95),
-        "p99": interp(99),
-        "mean": float(np.cumsum(latencies)[-1]) / n,
-        "max": float(part[n - 1]),
-    }
+    p50, p95, p99 = interp(50), interp(95), interp(99)
+    peak = float(part[n - 1])
+    # The order statistics are read, so the partition buffer is dead:
+    # the running sum reuses it instead of allocating an n-length cumsum.
+    mean = float(np.cumsum(latencies, out=part)[-1]) / n
+    return {"p50": p50, "p95": p95, "p99": p99, "mean": mean, "max": peak}
 
 
 def build_replica_stats(
@@ -447,8 +446,10 @@ def build_fleet_stats_columns(
         duration_ms: Denominator for throughput/goodput — the scenario
             duration or the last completion, whichever is later.
         tenant_names: Tenant name per tenant index (declaration order).
-        tenant_idx: Tenant index column, int per request.
-        slo_ms: Per-request SLO column (float64).
+        tenant_idx: Tenant index column, int per request (a zero-stride
+            view when every row has the same tenant).
+        slo_ms: Per-request SLO column (float64; a zero-stride view when
+            every row has the same SLO).
         arrival_ms: Per-request arrival column (float64).
         finish_ms: Per-request completion time; only read where completed.
         shed_code: Per-request shed code (0 = completed).
@@ -464,12 +465,18 @@ def build_fleet_stats_columns(
     completed_mask = shed_code == 0
     num_completed = int(completed_mask.sum())
     num_shed = submitted - num_completed
-    # finish - arrival is garbage on shed rows, but shed rows are never
-    # selected; completed rows see the identical subtraction the record
-    # path performs.
-    latency = finish_ms - arrival_ms
-    all_lat = latency[completed_mask]
-    slo_met = int((all_lat <= slo_ms[completed_mask]).sum())
+    # Latency of the completed rows only, in submission order: the
+    # identical subtraction the record path performs, without a
+    # full-length column that is mostly shed rows.
+    all_lat = finish_ms[completed_mask]
+    np.subtract(all_lat, arrival_ms[completed_mask], out=all_lat)
+    if slo_ms.strides[0] == 0:
+        # A single-tenant zero-stride view: slicing keeps it one value
+        # wide in memory instead of gathering a constant column.
+        comp_slo = slo_ms[:num_completed]
+    else:
+        comp_slo = slo_ms[completed_mask]
+    slo_met = int((all_lat <= comp_slo).sum())
     overall = _latency_block_columns(all_lat)
     seconds = duration_ms / 1000.0 if duration_ms > 0 else 0.0
 
@@ -492,6 +499,9 @@ def build_fleet_stats_columns(
         (name, tid) for tid, name in enumerate(tenant_names) if present[tid]
     )
     single_tenant = len(order) == 1 and int(present.sum()) == submitted
+    if not single_tenant:
+        # Tenant of each completed row, aligned with all_lat.
+        comp_tid = tenant_idx[completed_mask]
     for name, tid in order:
         if single_tenant:
             # One tenant owning every request: its slices are the overall
@@ -502,13 +512,12 @@ def build_fleet_stats_columns(
             t_slo_met = slo_met
             t_submitted, t_completed = submitted, num_completed
         else:
-            t_mask = tenant_idx == tid
-            t_comp = t_mask & completed_mask
-            t_lat = latency[t_comp]
+            t_comp = comp_tid == tid
+            t_lat = all_lat[t_comp]
             t_block = _latency_block_columns(t_lat)
-            t_slo_met = int((t_lat <= slo_ms[t_comp]).sum())
-            t_submitted = int(t_mask.sum())
-            t_completed = int(t_comp.sum())
+            t_slo_met = int((t_lat <= comp_slo[t_comp]).sum())
+            t_submitted = int(present[tid])
+            t_completed = int(t_lat.shape[0])
         tenants[name] = TenantStats(
             tenant=name,
             submitted=t_submitted,

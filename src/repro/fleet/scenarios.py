@@ -93,7 +93,7 @@ class TenantSpec:
     def __post_init__(self):
         if self.share <= 0:
             raise ValueError(f"tenant share must be > 0, got {self.share}")
-        if self.slo_ms <= 0:
+        if not self.slo_ms > 0:  # also rejects NaN
             raise ValueError(f"slo_ms must be > 0, got {self.slo_ms}")
         if not 1 <= self.min_words <= self.max_words:
             raise ValueError(
@@ -125,6 +125,11 @@ class ColumnarTrace:
     :class:`FleetRequest` list ``Scenario.generate`` would have produced
     — same objects, same floats, same order — so the two representations
     are interchangeable by construction, not by convention.
+
+    Each column exists once.  A single-tenant trace carries
+    ``tenant_idx`` as a read-only zero-stride view (every row reads
+    tenant 0) rather than an 8-byte-per-row constant column, so
+    consumers must not write to it or assume it is contiguous.
     """
 
     name: str
@@ -275,8 +280,12 @@ class Scenario:
         ``generate_columns(...).materialize() == generate(...)`` holds
         exactly, request for request and bit for bit.  The differences are
         purely representational: pool indices instead of strings, and
-        memory discipline (in-place cumsum, sliced thinning, prompt
-        frees) that keeps a 100M-request trace inside a few GB.
+        memory discipline.  The gaps are summed in place, thinning runs
+        in small slices that compact kept arrivals to the front of the
+        same buffer, which is then shrunk to be the arrival column, and a
+        single-tenant ``tenant_idx`` is a zero-stride view.  The
+        high-water is the candidate buffer plus one slice, about 8.4
+        bytes per candidate.
 
         Args:
             seed: RNG seed; equal arguments give byte-identical traces.
@@ -330,19 +339,32 @@ class Scenario:
         #    tests/fleet.  The rate curve is priced in the same slices
         #    because it is elementwise, so slicing cannot change a single
         #    keep decision but caps the working set.
-        keep = np.empty(n, dtype=bool)
-        step = 1 << 22
+        #    Kept candidates are compacted to the front of the candidate
+        #    buffer as they are decided, so neither an n-length keep mask
+        #    nor a separate ``times[keep]`` column is ever allocated.  The
+        #    write cursor never passes the slice being read, and a slice's
+        #    kept rows are a copy before they are written back.
+        step = 1 << 18
         ubuf = np.empty(min(step, n))
+        count = 0
+        window = None
         for lo in range(0, n, step):
-            sl = slice(lo, min(lo + step, n))
-            u = rng.random(out=ubuf[: sl.stop - lo])
-            rates_per_ms = self.rate_rps_array(times[sl] / duration_scale)
+            window = times[lo : lo + step]
+            u = rng.random(out=ubuf[: window.shape[0]])
+            rates_per_ms = self.rate_rps_array(window / duration_scale)
             np.multiply(rates_per_ms, rate_scale / 1000.0, out=rates_per_ms)
             np.multiply(u, peak_per_ms, out=u)
-            np.less_equal(u, rates_per_ms, out=keep[sl])
-        arrival = np.ascontiguousarray(times[keep])
-        del times, keep, gaps
-        count = int(arrival.shape[0])
+            kept = window[u <= rates_per_ms]
+            times[count : count + kept.shape[0]] = kept
+            count += kept.shape[0]
+        del times, window
+        # Shrink the candidate buffer to the kept prefix: ``resize`` is a
+        # ``realloc``, which shrinks in place and hands the tail back to
+        # the allocator without copying.  No view of ``gaps`` is alive, so
+        # skipping the reference check is safe.
+        gaps.resize(count, refcheck=False)
+        arrival = gaps
+        del gaps
 
         # 3. Tenant assignment and per-tenant text draws, batched by tenant
         #    in declaration order (a fixed order keeps the stream stable).
@@ -356,7 +378,8 @@ class Scenario:
             # stream-equivalence test in tests/fleet.
             for lo in range(0, count, step):
                 rng.random(out=ubuf[: min(step, count - lo)])
-            tenant_idx = np.zeros(count, dtype=np.int64)
+            # Every row is tenant 0: a zero-stride view, not a column.
+            tenant_idx = np.broadcast_to(np.int64(0), (count,))
         else:
             tenant_idx = rng.choice(len(self.tenants), size=count, p=shares)
         del ubuf

@@ -41,11 +41,19 @@ def _records(arrival, finish, shed_code, slo):
     return records
 
 
-def _both_stats(arrival, finish, shed_code, slo, duration_ms):
+def _both_stats(arrival, finish, shed_code, slo, duration_ms, views=False):
+    """Record-path and column-path stats; ``views`` passes the tenant and
+    SLO columns as zero-stride broadcasts (``slo`` must then be one value)."""
     arrival = np.asarray(arrival, dtype=np.float64)
     finish = np.asarray(finish, dtype=np.float64)
     shed_code = np.asarray(shed_code, dtype=np.uint8)
-    slo = np.asarray(slo, dtype=np.float64)
+    n = arrival.shape[0]
+    if views:
+        slo = np.broadcast_to(np.float64(slo), (n,))
+        tenant_idx = np.broadcast_to(np.int64(0), (n,))
+    else:
+        slo = np.asarray(slo, dtype=np.float64)
+        tenant_idx = np.zeros(n, dtype=np.int64)
     by_records = build_fleet_stats(
         _records(arrival, finish, shed_code, slo),
         replicas=[],
@@ -55,7 +63,7 @@ def _both_stats(arrival, finish, shed_code, slo, duration_ms):
     by_columns = build_fleet_stats_columns(
         duration_ms=duration_ms,
         tenant_names=list(TENANTS),
-        tenant_idx=np.zeros(arrival.shape[0], dtype=np.int64),
+        tenant_idx=tenant_idx,
         slo_ms=slo,
         arrival_ms=arrival,
         finish_ms=finish,
@@ -136,3 +144,70 @@ class TestPercentileColumns:
         assert block == {
             "p50": 0.0, "p95": 0.0, "p99": 0.0, "mean": 0.0, "max": 0.0
         }
+
+
+class TestZeroStrideColumns:
+    """Single-tenant runs pass ``tenant_idx`` and ``slo`` as broadcasts."""
+
+    def test_views_equal_the_record_path(self):
+        rng = np.random.default_rng(5)
+        for n in (0, 1, 2, 50, 5000):
+            arrival = np.sort(rng.uniform(0.0, 100.0, size=n))
+            finish = arrival + rng.exponential(20.0, size=n)
+            shed_code = rng.choice([0, 0, 0, 1, 2], size=n)
+            for slo in (15.0, 25.0):
+                ref, got = _both_stats(
+                    arrival, finish, shed_code, slo, duration_ms=120.0,
+                    views=True,
+                )
+                assert got.to_dict() == ref.to_dict()
+                if n >= 50:
+                    assert 0 < got.slo_met < got.completed
+
+    def test_views_equal_full_columns(self):
+        rng = np.random.default_rng(6)
+        arrival = np.sort(rng.uniform(0.0, 100.0, size=1000))
+        finish = arrival + rng.exponential(20.0, size=1000)
+        shed_code = rng.choice([0, 0, 1], size=1000)
+        _, full = _both_stats(arrival, finish, shed_code, [18.0] * 1000, 100.0)
+        _, views = _both_stats(
+            arrival, finish, shed_code, 18.0, 100.0, views=True
+        )
+        assert views.to_dict() == full.to_dict()
+
+
+class TestMultiTenantColumns:
+    def test_per_row_slos_equal_the_record_path(self):
+        """Tenants with different SLOs: each row is judged by its own."""
+        rng = np.random.default_rng(8)
+        n = 3000
+        names = ["interactive", "standard", "batch"]
+        tenant_idx = rng.integers(0, 3, size=n)
+        slo = np.array([10.0, 20.0, 40.0])[tenant_idx]
+        arrival = np.sort(rng.uniform(0.0, 100.0, size=n))
+        finish = arrival + rng.exponential(20.0, size=n)
+        shed_code = rng.choice([0, 0, 0, 1], size=n).astype(np.uint8)
+        records = _records(arrival, finish, shed_code, slo)
+        for r, tid in zip(records, tenant_idx):
+            r.tenant = names[tid]
+        ref = build_fleet_stats(
+            records, replicas=[], scale_events=[], duration_ms=120.0
+        )
+        got = build_fleet_stats_columns(
+            duration_ms=120.0,
+            tenant_names=names,
+            tenant_idx=tenant_idx,
+            slo_ms=slo,
+            arrival_ms=arrival,
+            finish_ms=finish,
+            shed_code=shed_code,
+            shed_reasons=SHED_REASON_OF_CODE,
+            migrations=0,
+            replicas=[],
+            scale_events=[],
+        )
+        assert got.to_dict() == ref.to_dict()
+        met = [got.tenants[name].slo_met / got.tenants[name].completed
+               for name in names]
+        assert met[0] < met[1] < met[2] < 1.0
+

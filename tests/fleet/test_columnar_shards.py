@@ -28,7 +28,12 @@ from repro.fleet import (
     merge_shard_partials,
     run_scenario_columnar,
 )
-from repro.fleet.columnar import shard_windows, _prepare
+from repro.fleet.columnar import (
+    _Accum,
+    _prepare,
+    native_available,
+    shard_windows,
+)
 from repro.obs import FleetObserver
 
 SHARD_COUNTS = (1, 2, 5, 7)
@@ -255,6 +260,84 @@ class TestReplicaTables:
             shard_processes=True,
         )
         assert forked == in_process
+
+
+class TestZeroStrideViews:
+    """Single-tenant runs carry tenant and SLO columns as broadcasts."""
+
+    @pytest.mark.parametrize(
+        "native",
+        [
+            pytest.param(
+                True,
+                marks=pytest.mark.skipif(
+                    not native_available(), reason="no C kernel"
+                ),
+            ),
+            False,
+        ],
+    )
+    def test_forked_single_tenant_run_matches_in_process(
+        self, native, cluster_model, hash_tokenizer, weak_spec, fleet_config
+    ):
+        """Views cross the fork: same report bytes as the in-process run."""
+        import multiprocessing
+
+        try:
+            multiprocessing.get_context("fork")
+        except ValueError:
+            pytest.skip("no fork start method on this platform")
+        args = ("flash-crowd", cluster_model, hash_tokenizer, [weak_spec] * 2)
+        kw = dict(seed=8, rate_scale=6.0, shards=3, native=native)
+        prep = _prepare(
+            "flash-crowd", cluster_model, hash_tokenizer, [weak_spec] * 2,
+            fleet_config, None, None, (), 8, 6.0, 1.0,
+        )
+        assert prep.tenant_idx.strides == (0,)
+        assert prep.slo.strides == (0,)
+        in_process = run_scenario_columnar(*args, fleet_config, **kw)
+        forked = run_scenario_columnar(
+            *args, fleet_config, shard_processes=True, **kw
+        )
+        assert in_process.stats.shed > 0
+        assert forked.to_json() == in_process.to_json()
+
+    def test_one_part_accum_hands_arrays_through(self):
+        """A lone array part reaches the partial uncopied."""
+        acc = _Accum()
+        done = (np.array([4, 2], dtype=np.int64), np.array([9.0, 7.5]))
+        shed = (np.array([3], dtype=np.int64), np.array([1], dtype=np.uint8))
+        acc.done_parts.append(done)
+        acc.shed_parts.append(shed)
+        partial = acc.to_partial()
+        assert partial.done_idx is done[0]
+        assert partial.done_fin is done[1]
+        assert partial.shed_idx is shed[0]
+        assert partial.shed_code is shed[1]
+
+    def test_accum_concatenates_rows_then_parts(self):
+        """List rows come first, then array parts, in append order."""
+        acc = _Accum()
+        acc.done_idx_py += [5, 6]
+        acc.done_fin_py += [1.0, 2.0]
+        acc.done_parts.append((np.array([0], dtype=np.int64), np.array([3.0])))
+        acc.shed_parts.append(
+            (np.array([1], dtype=np.int64), np.array([2], dtype=np.uint8))
+        )
+        acc.shed_parts.append(
+            (np.array([7], dtype=np.int64), np.array([1], dtype=np.uint8))
+        )
+        partial = acc.to_partial()
+        assert partial.done_idx.tolist() == [5, 6, 0]
+        assert partial.done_fin.tolist() == [1.0, 2.0, 3.0]
+        assert partial.shed_idx.tolist() == [1, 7]
+        assert partial.shed_code.tolist() == [2, 1]
+        assert partial.shed_code.dtype == np.uint8
+        empty = _Accum().to_partial()
+        assert (empty.num_done, empty.num_shed) == (0, 0)
+        assert empty.done_idx.dtype == np.int64
+        assert empty.done_fin.dtype == np.float64
+        assert empty.shed_code.dtype == np.uint8
 
 
 class TestMergeShardPartials:

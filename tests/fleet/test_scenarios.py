@@ -136,6 +136,11 @@ class TestValidation:
             TenantSpec(name="t", share=0.0)
         with pytest.raises(ValueError):
             TenantSpec(name="t", min_words=5, max_words=3)
+        # NaN compares false against 0, so it needs its own rejection:
+        # single-tenant runs read the SLO as one uniform threshold.
+        for slo in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="slo_ms"):
+                TenantSpec(name="t", slo_ms=slo)
 
     def test_bad_scales_rejected(self):
         scenario = builtin_scenarios()["steady"]
